@@ -19,10 +19,6 @@ Subcommands:
 * ``obs diff A B``               compare two stored runs statistically
 * ``obs history [METRIC]``       metric trajectory across stored runs
 * ``bench``                      run the bench suite, gate vs baselines
-* ``serve``                      campaign-as-a-service daemon (job queue,
-  worker fleet, ledger-backed result cache)
-* ``submit`` / ``status`` / ``fetch`` / ``cancel``
-  thin client for a running ``serve`` (see ``docs/service.md``)
 
 ``campaign``, ``fig8``, and ``fig9`` accept ``--telemetry PATH`` to
 export spans, metrics, and per-trial records as JSONL (see
@@ -45,7 +41,9 @@ second terminal can follow with ``obs top PATH``); see
 ``--tag NAME`` and ``--runs-dir DIR``) to record each run in the
 content-addressed ledger under ``.repro/runs/``, queryable with
 ``obs runs`` / ``obs diff`` / ``obs history``; see
-``docs/observability.md``.
+``docs/observability.md``.  A fixed-trial ``campaign``/``fig8 --store``
+whose identical campaign is already in the ledger is answered from it
+without running a trial.
 """
 
 from __future__ import annotations
@@ -99,10 +97,10 @@ def _cmd_asm(args) -> int:
 
 
 def _campaign_spec(args):
-    """The :class:`~repro.serve.spec.CampaignSpec` a ``campaign``
+    """The :class:`~repro.eval.spec.CampaignSpec` a ``campaign``
     invocation describes (``--ci-width`` arrives in percentage
     points)."""
-    from .serve.spec import CampaignSpec
+    from .eval.spec import CampaignSpec
 
     kwargs: dict = {
         "technique": args.technique.value,
@@ -123,9 +121,9 @@ def _campaign_spec(args):
 def _cmd_campaign(args) -> int:
     from .eval.telemetry import export_session, open_sink
     from .obs import CampaignLog
-    from .serve.spec import run_spec
 
     sink = open_sink(args.telemetry)
+    spec = _campaign_spec(args)
     log = None
     if (sink is not None or args.taint or args.store
             or (args.atlas and args.adaptive)):
@@ -133,9 +131,7 @@ def _cmd_campaign(args) -> int:
         # nothing is exported: forensics renders from the log directly.
         # (Adaptive atlases also anchor from the log, post-hoc; stored
         # runs keep the trial records as their primary artifact.)
-        log = CampaignLog(context={"source": args.file,
-                                   "technique": args.technique.value,
-                                   "seed": args.seed})
+        log = CampaignLog(context=spec.log_context())
     binary = _load_binary(args.file, args.technique)
     monitor = None
     if args.progress or args.heartbeat:
@@ -153,7 +149,7 @@ def _cmd_campaign(args) -> int:
                   "(batch sizes depend on observed variance, so the "
                   "profile would not be reproducible)", file=sys.stderr)
             return 2
-        return _adaptive_campaign(args, binary, sink, log, monitor)
+        return _adaptive_campaign(args, spec, binary, sink, log, monitor)
     profile = None
     if args.profile:
         from .obs import SimProfiler
@@ -164,10 +160,9 @@ def _cmd_campaign(args) -> int:
         from .obs import AtlasAccumulator
 
         atlas = AtlasAccumulator()
-    spec = _campaign_spec(args)
-    run = run_spec(spec, binary, log=log, taint=args.taint,
-                   profile=profile, monitor=monitor, jit=args.jit,
-                   atlas=atlas)
+    run, stored = _run_campaign_spec(
+        args, spec, binary, log=log, taint=args.taint, profile=profile,
+        monitor=monitor, jit=args.jit, atlas=atlas)
     campaign = run.result
     if monitor is not None:
         monitor.finish()
@@ -179,9 +174,13 @@ def _cmd_campaign(args) -> int:
     if campaign.detected_percent:
         print(f"detected  : {campaign.detected_percent:6.2f}%")
     print(f"repairs   : fired in {campaign.recoveries} runs")
-    # Sub-resolution campaigns report no rate rather than a nonsense one.
-    rate = (f"{campaign.trials_per_sec:.1f} trials/s"
-            if campaign.elapsed_seconds > 0 else "rate n/a")
+    if run.cached:
+        rate = "cache hit, 0 trials run"
+    elif campaign.elapsed_seconds > 0:
+        rate = f"{campaign.trials_per_sec:.1f} trials/s"
+    else:
+        # Sub-resolution campaigns report no rate, not a nonsense one.
+        rate = "rate n/a"
     print(f"elapsed   : {campaign.elapsed_seconds:6.2f}s ({rate})")
     if atlas is not None:
         from .obs import Atlas
@@ -206,8 +205,8 @@ def _cmd_campaign(args) -> int:
             print(f"latency   : mean {mean:.1f} dynamic instructions to "
                   f"detection ({len(latencies)} detected trials)")
         export_session(sink)
-    if args.store:
-        _store_run(args, spec, run, binary, log)
+    if stored is not None:
+        _print_stored(args, stored)
     if args.taint:
         from .obs import analyze_log, render_report
 
@@ -216,14 +215,27 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _store_run(args, spec, run, binary, log) -> None:
-    """Record one finished campaign in the run ledger (``--store``)."""
-    from .obs.registry import RunRegistry
-    from .serve.spec import store_spec_run
+def _run_campaign_spec(args, spec, binary, **hooks):
+    """Run one ``campaign`` spec: ``(SpecRun, StoredRun or None)``.
 
-    registry = RunRegistry(args.runs_dir or None)
-    stored = store_spec_run(registry, spec, run, binary, log,
-                            tag=args.tag)
+    With ``--store`` the ledger is probed first (see
+    :func:`~repro.eval.spec.run_stored`), unless the invocation asked
+    for outputs only a real run produces.
+    """
+    from .eval.spec import run_spec, run_stored
+
+    if not args.store:
+        return run_spec(spec, binary, **hooks), None
+    from .obs.registry import RunRegistry
+
+    probe = not (args.telemetry or args.taint or args.profile
+                 or args.atlas)
+    return run_stored(RunRegistry(args.runs_dir or None), spec, binary,
+                      tag=args.tag, probe=probe, **hooks)
+
+
+def _print_stored(args, stored) -> None:
+    """Say where ``--store`` recorded (or found) the run."""
     verb = "stored" if stored.created else "cache hit"
     tag = f" tag={args.tag}" if args.tag else ""
     print(f"ledger    : {verb} run {stored.run_id}{tag} -> {stored.path}")
@@ -254,14 +266,13 @@ def _write_atlas(path: str, atlas) -> None:
     print(f"            (render with: python -m repro obs atlas {path})")
 
 
-def _adaptive_campaign(args, binary, sink, log, monitor=None) -> int:
+def _adaptive_campaign(args, spec, binary, sink, log,
+                       monitor=None) -> int:
     """Run one adaptive campaign and print its stopping summary."""
     from .eval.telemetry import export_session
-    from .serve.spec import run_spec
 
-    spec = _campaign_spec(args)
-    run = run_spec(spec, binary, log=log, monitor=monitor,
-                   jit=args.jit)
+    run, stored = _run_campaign_spec(args, spec, binary, log=log,
+                                     monitor=monitor, jit=args.jit)
     result = run.adaptive
     if monitor is not None:
         monitor.finish()
@@ -304,8 +315,8 @@ def _adaptive_campaign(args, binary, sink, log, monitor=None) -> int:
         _write_atlas(args.atlas, atlas_from_records(
             log.to_dicts(), Machine(binary), weights=weights,
             context=dict(context, trials=campaign.trials)))
-    if args.store:
-        _store_run(args, spec, run, binary, log)
+    if stored is not None:
+        _print_stored(args, stored)
     return 0
 
 
@@ -604,36 +615,6 @@ def _cmd_bench(args) -> int:
     from .bench.cli import run_bench
 
     return run_bench(args)
-
-
-def _cmd_serve(args) -> int:
-    from .serve.server import main_serve
-
-    return main_serve(args)
-
-
-def _cmd_submit(args) -> int:
-    from .serve.client import main_submit
-
-    return main_submit(args)
-
-
-def _cmd_status(args) -> int:
-    from .serve.client import main_status
-
-    return main_status(args)
-
-
-def _cmd_fetch(args) -> int:
-    from .serve.client import main_fetch
-
-    return main_fetch(args)
-
-
-def _cmd_cancel(args) -> int:
-    from .serve.client import main_cancel
-
-    return main_cancel(args)
 
 
 def _cmd_profile(args) -> int:
@@ -1058,110 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_bench_arguments(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
-
-    from .serve.protocol import DEFAULT_HOST, DEFAULT_PORT
-
-    def _add_endpoint(sub_parser) -> None:
-        sub_parser.add_argument("--host", default=DEFAULT_HOST,
-                                help=f"service host (default "
-                                     f"{DEFAULT_HOST})")
-        sub_parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                                help=f"service port (default "
-                                     f"{DEFAULT_PORT})")
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run campaigns as a service: queued jobs, a worker fleet, "
-             "and ledger-cached results (see docs/service.md)")
-    _add_endpoint(p_serve)
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="concurrent campaign jobs (default 2); "
-                              "each job may still shard internally "
-                              "with its spec's jobs knob")
-    p_serve.add_argument("--max-pending", type=int, default=8,
-                         help="per-client cap on queued+running jobs "
-                              "(default 8)")
-    p_serve.add_argument("--state-dir", default="",
-                         help="spool/heartbeat directory (default "
-                              ".repro/serve; kept outside the runs "
-                              "ledger, which gc's unknown dirs)")
-    p_serve.add_argument("--runs-dir", default="",
-                         help="run ledger the service caches from and "
-                              "stores into (default: $REPRO_RUNS_DIR "
-                              "or .repro/runs)")
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit",
-        help="submit a campaign spec to a running serve (cache-aware: "
-             "an already-stored identical campaign returns instantly)")
-    _add_endpoint(p_submit)
-    p_submit.add_argument("file", nargs="?", default="",
-                          help="mini-C source file (or use --workload)")
-    p_submit.add_argument("--workload", default="",
-                          choices=["", *sorted(WORKLOADS)],
-                          help="submit a suite workload instead of a "
-                               "source file")
-    p_submit.add_argument("-t", "--technique", default="swiftr",
-                          choices=[t.value for t in Technique])
-    p_submit.add_argument("--trials", type=int, default=250)
-    p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--jobs", type=int, default=1,
-                          help="worker processes inside the job; "
-                               "results are identical for any value")
-    p_submit.add_argument("--adaptive", action="store_true",
-                          help="adaptive stopping instead of --trials")
-    p_submit.add_argument("--metric", default="unace",
-                          choices=["unace", "sdc", "segv", "failure",
-                                   "detected"])
-    p_submit.add_argument("--ci-width", type=float, default=2.5,
-                          help="adaptive target CI half-width in "
-                               "percentage points (default 2.5)")
-    p_submit.add_argument("--confidence", type=float, default=0.95)
-    p_submit.add_argument("--max-trials", type=int, default=4000)
-    p_submit.add_argument("--priority", type=int, default=0,
-                          help="higher runs first (FIFO within a level)")
-    p_submit.add_argument("--client", default="",
-                          help="client name for the per-client rate "
-                               "limit (default: anon)")
-    p_submit.add_argument("--tag", default="",
-                          help="ledger tag for the stored run")
-    p_submit.add_argument("--inline", action="store_true",
-                          help="ship the file's text instead of its "
-                               "path (for servers on another "
-                               "filesystem; ledgered under a content "
-                               "hash, not the path)")
-    p_submit.add_argument("--wait", action="store_true",
-                          help="stream progress and block until the "
-                               "job finishes")
-    p_submit.set_defaults(func=_cmd_submit)
-
-    p_status = sub.add_parser(
-        "status", help="one job's status (or all jobs when no id)")
-    _add_endpoint(p_status)
-    p_status.add_argument("job", nargs="?", default="",
-                          help="job id from submit (omit to list all)")
-    p_status.set_defaults(func=_cmd_status)
-
-    p_fetch = sub.add_parser(
-        "fetch",
-        help="download a finished job's stored run (manifest + "
-             "artifacts, byte-identical to the server's run dir)")
-    _add_endpoint(p_fetch)
-    p_fetch.add_argument("job", nargs="?", default="",
-                         help="job id from submit")
-    p_fetch.add_argument("--run", default="",
-                         help="fetch by run id/tag instead of job id")
-    p_fetch.add_argument("--dest", default=".",
-                         help="directory to place <run_id>/ under "
-                              "(default .)")
-    p_fetch.set_defaults(func=_cmd_fetch)
-
-    p_cancel = sub.add_parser(
-        "cancel", help="cancel a queued or running job")
-    _add_endpoint(p_cancel)
-    p_cancel.add_argument("job", help="job id from submit")
-    p_cancel.set_defaults(func=_cmd_cancel)
 
     return parser
 

@@ -14,8 +14,8 @@ from .benches import (
     DEFAULT_TRIALS,
     DEFAULT_WORKLOAD,
     measure_adaptive_suite,
+    measure_cache_suite,
     measure_campaign_suite,
-    measure_serve_suite,
 )
 from .compare import (
     DEFAULT_TOLERANCE,
@@ -44,8 +44,8 @@ __all__ = [
     "compare_baselines",
     "environment_fingerprint",
     "measure_adaptive_suite",
+    "measure_cache_suite",
     "measure_campaign_suite",
-    "measure_serve_suite",
     "meta_record",
     "read_bench",
     "regressions",

@@ -25,8 +25,8 @@ from .benches import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     measure_adaptive_suite,
+    measure_cache_suite,
     measure_campaign_suite,
-    measure_serve_suite,
 )
 from .compare import (
     DEFAULT_TOLERANCE,
@@ -40,9 +40,9 @@ from .schema import read_bench, write_bench
 SUITE_BASELINES = {
     "campaign": ("BENCH_campaign.json",),
     "adaptive": ("BENCH_adaptive.json",),
-    "serve": ("BENCH_serve.json",),
+    "cache": ("BENCH_cache.json",),
     "all": ("BENCH_campaign.json", "BENCH_adaptive.json",
-            "BENCH_serve.json"),
+            "BENCH_cache.json"),
 }
 
 
@@ -75,8 +75,8 @@ def run_bench(args) -> int:
             records, _details = measure_adaptive_suite(
                 seed=args.seed, verbose=True)
             current.extend(records)
-        if suite in ("serve", "all"):
-            records, _details = measure_serve_suite(
+        if suite in ("cache", "all"):
+            records, _details = measure_cache_suite(
                 trials=args.trials, seed=args.seed, verbose=True)
             current.extend(records)
         origin = "(measured)"

@@ -22,7 +22,6 @@ from ..faults.campaign import CampaignResult
 from ..faults.outcomes import Outcome
 from ..faults.stats import Proportion
 from ..obs.campaign_log import CampaignLog
-from ..serve.spec import CampaignSpec, run_spec
 from ..obs.sink import JsonlSink
 from ..obs.spans import span
 from ..stats.claims import evaluate_claims, render_claims
@@ -40,6 +39,7 @@ from ..transform.protect import PAPER_TECHNIQUES, Technique
 from ..workloads.suite import PAPER_BENCHMARKS
 from .pipeline import PipelineOptions, prepare_machine
 from .report import average, fmt_pct, reduction_percent, render_table
+from .spec import CampaignSpec, run_spec, run_stored
 from .telemetry import export_session, open_sink
 
 #: Default trials per (benchmark, technique) cell.  The paper used 250;
@@ -138,7 +138,10 @@ def evaluate_reliability(
     ``store=True`` records every (benchmark, technique) cell in the
     persistent run ledger (see :mod:`repro.obs.registry`); with a
     ``tag``, each cell is tagged ``{tag}/{benchmark}/{technique}`` so
-    ``obs diff`` can address individual cells precisely.
+    ``obs diff`` can address individual cells precisely.  A fixed-trial
+    cell already in the ledger is answered from it without running a
+    trial, unless telemetry, taint, or profiling asked for the trials
+    themselves (see :func:`repro.eval.spec.run_stored`).
     """
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
     techniques = list(techniques or PAPER_TECHNIQUES)
@@ -169,14 +172,15 @@ def evaluate_reliability(
                   f"{registry.root}", file=sys.stderr)
         return results
     profile_records: list[dict] = []
-    stored = 0
+    stored = hits = 0
+    probe = telemetry is None and not taint and not profile_path
     for bench in benchmarks:
         for tech in techniques:
+            spec = CampaignSpec(technique=tech.value, workload=bench,
+                                seed=seed, trials=trials, jobs=jobs)
             log = None
             if telemetry is not None or taint or registry is not None:
-                log = CampaignLog(context={"benchmark": bench,
-                                           "technique": tech.value,
-                                           "seed": seed})
+                log = CampaignLog(context=spec.log_context())
             profiler = None
             if profile_path:
                 from ..obs.profile import SimProfiler
@@ -185,17 +189,19 @@ def evaluate_reliability(
             with span("fig8.cell", benchmark=bench,
                       technique=tech.value) as cell_span:
                 machine = prepare_machine(bench, tech, options)
-                spec = CampaignSpec(technique=tech.value, workload=bench,
-                                    seed=seed, trials=trials, jobs=jobs)
-                campaign = run_spec(spec, machine.program,
-                                    machine=machine, log=log,
-                                    taint=taint, profile=profiler,
-                                    jit=jit).result
+                hooks = dict(machine=machine, log=log, taint=taint,
+                             profile=profiler, jit=jit)
+                if registry is None:
+                    run = run_spec(spec, machine.program, **hooks)
+                else:
+                    run, _stored = run_stored(
+                        registry, spec, machine.program,
+                        tag=_cell_tag(tag, bench, tech), probe=probe,
+                        **hooks)
+                    stored += not run.cached
+                    hits += run.cached
+            campaign = run.result
             results.cells[(bench, tech)] = campaign
-            if registry is not None:
-                _store_cell(registry, bench, tech, seed, campaign, log,
-                            machine.program, tag)
-                stored += 1
             if profiler is not None:
                 profile_records.extend(profiler.to_records(
                     context={"benchmark": bench,
@@ -219,24 +225,14 @@ def evaluate_reliability(
             print(f"  wrote {len(profile_records)} profile records to "
                   f"{profile_path}", file=sys.stderr)
     if registry is not None:
-        print(f"  ledger: stored {stored} run(s) under {registry.root}",
-              file=sys.stderr)
+        print(f"  ledger: stored {stored} run(s), {hits} cache hit(s) "
+              f"under {registry.root}", file=sys.stderr)
     return results
 
 
-def _store_cell(registry, bench: str, tech: Technique, seed: int,
-                campaign: CampaignResult, log, program,
-                tag: str, weights: dict | None = None,
-                adaptive: AdaptiveResult | None = None):
-    """Ledger one grid cell under the tag ``{tag}/{bench}/{tech}``."""
-    from ..obs.registry import store_campaign
-
-    cell_tag = f"{tag}/{bench}/{tech.value}" if tag else ""
-    return store_campaign(registry, workload={"benchmark": bench},
-                          technique=tech.value, seed=seed,
-                          result=campaign, log=log, program=program,
-                          weights=weights, adaptive=adaptive,
-                          tag=cell_tag)
+def _cell_tag(tag: str, bench: str, tech: Technique) -> str:
+    """A grid cell's ledger tag: ``{tag}/{bench}/{tech}``."""
+    return f"{tag}/{bench}/{tech.value}" if tag else ""
 
 
 def _evaluate_adaptive(results: ReliabilityResults,
@@ -267,14 +263,18 @@ def _evaluate_adaptive(results: ReliabilityResults,
         for bench in results.benchmarks:
             results.cells[(bench, tech)] = adaptive.arm_results[bench]
         if registry is not None:
+            from ..obs.registry import store_campaign
+
             for bench, machine in machines:
                 weights = {r["stratum"]: r["weight"]
                            for r in adaptive.stratum_dicts()
                            if r.get("arm") == bench}
-                _store_cell(registry, bench, tech, results.seed,
-                            adaptive.arm_results[bench], logs[bench],
-                            machine.program, tag,
-                            weights=weights or None, adaptive=adaptive)
+                store_campaign(registry, workload={"benchmark": bench},
+                               technique=tech.value, seed=results.seed,
+                               result=adaptive.arm_results[bench],
+                               log=logs[bench], program=machine.program,
+                               weights=weights or None, adaptive=adaptive,
+                               tag=_cell_tag(tag, bench, tech))
         if telemetry is not None:
             for bench in results.benchmarks:
                 telemetry.write_many(logs[bench].to_dicts())

@@ -116,6 +116,19 @@ class CampaignResult:
             "golden_instructions": self.golden_instructions,
         }
 
+    @classmethod
+    def from_summary(cls, summary: dict) -> "CampaignResult":
+        """The exact inverse of :meth:`summary_dict` (a stored run's
+        result, with no timing and no run-time config)."""
+        return cls(
+            trials=summary["trials"],
+            counts={Outcome(name): count
+                    for name, count in summary["outcomes"].items()},
+            recoveries=summary["recoveries"],
+            never_landed=summary["never_landed"],
+            golden_instructions=summary["golden_instructions"],
+        )
+
     def merged(self, other: "CampaignResult") -> "CampaignResult":
         """Combine two shards of the *same* campaign.
 

@@ -225,8 +225,10 @@ def run_parallel_campaign(
     fault site from the single seeded RNG and workers only execute.
     ``jobs=0`` means one worker per CPU; ``jobs=1`` (or fewer trials
     than would keep two workers busy) falls through to the serial
-    runner.  The ``machine`` parameter only spares the parent a
-    recompile for its golden run -- workers always compile their own.
+    runner.  The ``machine`` parameter spares the parent a recompile
+    for its golden run -- workers always compile their own, with the
+    passed machine's instruction budget so a hang means the same thing
+    for every ``jobs``.
 
     An explicit ``sites`` list (see :func:`run_campaign`) replaces the
     seeded sampling entirely; the campaign is then bit-identical across
@@ -262,6 +264,8 @@ def run_parallel_campaign(
         jobs = default_jobs()
     if sites is not None:
         trials = len(sites)
+    if machine is not None:
+        max_instructions = machine.max_instructions
     if jobs <= 1 or trials <= 1:
         return run_campaign(program, trials=trials, seed=seed,
                             max_instructions=max_instructions,

@@ -25,9 +25,10 @@ The run id **is** the first 16 hex digits of the sha256 of the
 canonical manifest JSON (artifact hashes included), so identical
 campaigns -- same binary, same seed, same config, same outcomes --
 store to the same id regardless of ``--jobs``: re-storing is a cache
-hit, which is exactly the artifact-cache key the campaign-as-a-service
-roadmap item needs.  Wall-clock timings never enter a manifest or an
-artifact; timestamps live only in ledger events.
+hit, and :func:`repro.eval.spec.find_cached` answers a repeated
+campaign from the ledger before it runs.  Wall-clock timings never
+enter a manifest or an artifact; timestamps live only in ledger
+events.
 
 Crash safety: artifacts are written through
 :class:`~repro.obs.sink.JsonlSink` in atomic mode into a staging
@@ -220,11 +221,20 @@ class RunRegistry:
                 trials=results.get("trials"),
                 outcomes=results.get("outcomes", {}),
             )
+        self._append(event)
+        return StoredRun(run_id=run_id, path=self.run_dir(run_id),
+                         created=created, manifest=manifest)
+
+    def tag(self, run_id: str, tag: str) -> None:
+        """Record ``tag`` on an already-stored run (a ``run_tagged``
+        event, exactly what re-storing the run with that tag writes)."""
+        self._append({"kind": "run_tagged", "run": run_id,
+                      "ts": round(time.time(), 3), "tag": tag})
+
+    def _append(self, event: dict) -> None:
         with open(self.ledger_path, "a") as ledger:
             ledger.write(canonical_json(event))
             ledger.write("\n")
-        return StoredRun(run_id=run_id, path=self.run_dir(run_id),
-                         created=created, manifest=manifest)
 
     # ------------------------------------------------------------ ledger
     def entries(self) -> list[dict]:
@@ -317,11 +327,8 @@ class RunRegistry:
     # ----------------------------------------------------------- removal
     def remove(self, run_id: str) -> None:
         shutil.rmtree(self.run_dir(run_id), ignore_errors=True)
-        with open(self.ledger_path, "a") as ledger:
-            ledger.write(canonical_json({
-                "kind": "run_removed", "run": run_id,
-                "ts": round(time.time(), 3)}))
-            ledger.write("\n")
+        self._append({"kind": "run_removed", "run": run_id,
+                      "ts": round(time.time(), 3)})
 
     def gc(self) -> list[str]:
         """Reap untagged runs and staging litter; tagged runs stay."""

@@ -381,9 +381,7 @@ class _Arm:
         scratch = CampaignLog()
         shard_result = run_parallel_campaign(
             self.machine.program, sites=sites, jobs=jobs,
-            machine=self.machine,
-            max_instructions=self.machine.max_instructions, log=scratch,
-            jit=self.jit)
+            machine=self.machine, log=scratch, jit=self.jit)
         self.result = self.result.merged(shard_result)
         outcomes = []
         for record, stratum in zip(scratch.records, strata):

@@ -165,7 +165,8 @@ def test_cli_writes_versioned_output(tmp_path):
 def test_committed_baselines_are_versioned_and_self_consistent():
     # The committed baselines gate CI; they must parse under the
     # versioned schema and pass their own gate at zero tolerance.
-    for path in ("BENCH_campaign.json", "BENCH_adaptive.json"):
+    for path in ("BENCH_campaign.json", "BENCH_adaptive.json",
+                 "BENCH_cache.json"):
         meta, body = read_bench(path)
         assert meta is not None, path
         assert meta["schema_version"] == SCHEMA_VERSION
@@ -174,7 +175,7 @@ def test_committed_baselines_are_versioned_and_self_consistent():
         assert regressions(checks) == []
 
 
-@pytest.mark.parametrize("suite", ["campaign", "adaptive", "all"])
+@pytest.mark.parametrize("suite", ["campaign", "adaptive", "cache", "all"])
 def test_cli_suite_choices_parse(suite):
     from repro.__main__ import build_parser
 

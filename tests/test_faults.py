@@ -153,6 +153,21 @@ def test_campaign_merge(simple_program):
         assert merged.count(outcome) == a.count(outcome) + b.count(outcome)
 
 
+def test_campaign_result_from_summary_inverts_summary_dict():
+    result = CampaignResult(trials=0, recoveries=3, never_landed=2,
+                            golden_instructions=1234)
+    for count, outcome in enumerate(Outcome, start=1):
+        for _ in range(count):
+            result.record(outcome, recovered=False)
+    summary = result.summary_dict()
+    assert set(summary["outcomes"]) == {o.value for o in Outcome}
+    rebuilt = CampaignResult.from_summary(summary)
+    assert rebuilt == result
+    assert rebuilt.summary_dict() == summary
+    # Percentages, the lines a cache hit prints, come back too.
+    assert rebuilt.sdc_percent == result.sdc_percent
+
+
 def test_run_sites_explicit(simple_program):
     sites = sample_sites(5, 40, 10)
     outcomes = run_sites(simple_program, sites)

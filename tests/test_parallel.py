@@ -1,9 +1,12 @@
 """Process-parallel campaigns: sharding, determinism, telemetry order."""
 
-from repro.faults import run_campaign, run_parallel_campaign
+from repro.faults import Outcome, run_campaign, run_parallel_campaign
 from repro.faults.parallel import _partition, default_jobs
-from repro.faults.model import sample_sites
+from repro.faults.model import INJECTABLE_GPRS, FaultSite, sample_sites
+from repro.lang import compile_source
 from repro.obs.campaign_log import CampaignLog
+from repro.sim import Machine
+from repro.transform import Technique, allocate_program, protect
 
 
 def test_partition_contiguous_and_complete():
@@ -25,6 +28,31 @@ def test_jobs2_matches_jobs1(simple_program):
     assert serial == parallel
     assert log1.records == log2.records
     assert [r.trial for r in log2.records] == list(range(24))
+
+
+def test_jobs2_uses_the_passed_machines_budget():
+    # A budget just above the golden length turns every fault that
+    # lengthens the loop into a hang.  Workers must take that budget
+    # from the passed machine, not from the default max_instructions,
+    # or jobs=2 classifies (and records) those trials differently.
+    program = allocate_program(protect(compile_source(
+        "int main() { int t = 0; "
+        "for (int i = 0; i < 20; i++) { t += i; } "
+        "print(t); return 0; }"), Technique.NOFT))
+    budget = Machine(program).run().instructions + 2
+    sites = [FaultSite(dynamic_index=budget // 2, reg_index=reg, bit=bit)
+             for reg in INJECTABLE_GPRS for bit in range(5)]
+    runs = []
+    for jobs in (1, 2):
+        log = CampaignLog()
+        result = run_parallel_campaign(
+            program, sites=sites, jobs=jobs, log=log,
+            machine=Machine(program, max_instructions=budget))
+        runs.append((result, log.records))
+    (serial, serial_records), (parallel, parallel_records) = runs
+    assert serial.count(Outcome.HANG)
+    assert serial == parallel
+    assert serial_records == parallel_records
 
 
 def test_parallel_matches_plain_run_campaign(simple_program):
