@@ -252,6 +252,9 @@ def run_campaign(
     if taint and log is None and atlas is None:
         raise ValueError("taint tracing requires a CampaignLog "
                          "to receive the event streams")
+    # Elapsed time covers the machine build and JIT compile too, so the
+    # reported throughput is the same whichever runner (or --jobs) ran.
+    start_time = perf_counter()
     machine = machine or Machine(program, max_instructions=max_instructions)
     if jit is None:
         jit = not taint and profile is None
@@ -269,7 +272,6 @@ def run_campaign(
             profile.annotate_jit(machine)
     atlas_log = log if atlas is None or log is not None else CampaignLog()
     atlas_start = len(atlas_log.records) if atlas_log is not None else 0
-    start_time = perf_counter()
     try:
         result = _run_campaign_trials(
             machine, trials=trials, seed=seed, log=atlas_log,

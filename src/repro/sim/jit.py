@@ -5,12 +5,12 @@ closure per dynamic instruction.  That per-instruction dispatch -- a
 list index, a call, an action check -- dominates campaign runtime now
 that checkpointing and adaptive stopping have squeezed out redundant
 *trials*.  This module removes it: every function is rendered into one
-generated Python driver via opcode templates -- registers held in
-Python locals across basic-block transitions, the instruction counter
-carried as a local, block-to-block control flow as a binary-dispatch
-``while`` loop -- then ``compile()``d once and cached per *program
-identity*, so one compilation is amortised over the golden run and
-every trial of every campaign on that binary.
+generated Python driver via opcode templates -- exactly one compiled
+body per basic block, registers held in Python locals across block
+transitions, the instruction counter carried as a local, block-to-block
+control flow as a binary-dispatch ``while`` loop -- then ``compile()``d
+once and cached per *program identity*, so one compilation is amortised
+over the golden run and every trial of every campaign on that binary.
 
 Execution model ("side exits"):
 
@@ -62,6 +62,7 @@ from ..isa.instruction import Instruction, Role
 from ..isa.opcodes import Opcode, OpKind
 from ..isa.operands import FImm, Imm, MASK64, to_signed
 from ..isa.registers import Register
+from ..obs.spans import span
 from .events import GuestTrap, TrapKind
 from .machine import Machine, _fop_div
 from .memory import bits_to_float, float_to_bits
@@ -152,10 +153,10 @@ class _Emitter:
 
     * ``whole=True`` -- emitting one block body of a function driver.
       ``ic`` is a *running* local (advanced at block transitions);
-      taken branches stay inside the driver (``ic += d; bi = T;
-      continue``) with **no register writeback**, because the function
-      preamble loads every slot the function touches and locals stay
-      live across blocks.
+      transfers stay inside the driver (``ic += d; bi = T; break``, or
+      ``continue`` for a self-loop) with **no register writeback**,
+      because the function preamble loads every slot the function
+      touches and locals stay live across blocks.
     * ``whole=False`` -- emitting a standalone post-``CALL`` resume
       segment.  ``ic`` is fixed at entry; every control transfer is a
       side exit returning the interpreter action protocol.
@@ -210,13 +211,6 @@ class _Emitter:
         self.ret_break = False
         self.block = 0        # current block index being emitted
         self.entry = 0        # absolute index of instruction 0 of the body
-        # Index of the block a leaf's inner loop re-enters at (whole
-        # mode): branches back to it are a bare ``continue``.
-        self.chain_entry = -1
-        # Chain-inlining signal (whole mode): an unconditional top-level
-        # transfer sets this instead of emitting a dispatch round trip,
-        # and the driver renderer keeps emitting the successor inline.
-        self.chain_next: tuple[int, int] | None = None
         self.int_slots: set[int] = set()
         self.float_slots: set[int] = set()
         self.int_writes: set[int] = set()
@@ -313,20 +307,15 @@ class _Emitter:
                       indent: str = "") -> None:
         """Control reaches block ``target`` after ``delta`` retired.
 
-        In whole mode an *unconditional* (top-level) transfer signals
-        the renderer to keep emitting the successor inline -- no
-        dispatch round trip; conditional (indented) transfers re-enter
-        the dispatch loop.
+        In whole mode a self-loop re-enters the block's own inner
+        ``while`` and every other transfer re-enters the dispatch loop.
         """
         if self.whole:
-            if not indent:
-                self.chain_next = (delta, target)
-                return
             self.emit(f"{indent}ic += {delta}")
-            if target == self.chain_entry:
-                # Back-edge to the leaf's own entry: loop locally inside
-                # the leaf's inner ``while`` -- re-runs the entry fuel
-                # check without a dispatch round trip.
+            if target == self.block:
+                # Back-edge to this block: loop locally inside its
+                # inner ``while`` -- re-runs the entry fuel check
+                # without a dispatch round trip.
                 self.emit(f"{indent}continue")
             else:
                 self.emit(f"{indent}{self.dispatch_var} = {target}")
@@ -833,9 +822,8 @@ def _emit_call(e, instr, delta):
     e.emit("    if _cb < 0:")
     e.emit("        break")
     saved = (e.func_name, e.block_index, e.block, e.entry,
-             e.chain_entry, e.chain_next, e.dispatch_var, e.ret_break,
-             e.inline_arg_kinds, e.lines, e._indent,
-             e.machine._current_function)
+             e.dispatch_var, e.ret_break, e.inline_arg_kinds, e.lines,
+             e._indent, e.machine._current_function)
     e.func_name = callee
     e.block_index = {blk.name: i for i, blk in enumerate(cfunc.blocks)}
     e.dispatch_var = "_cb"
@@ -849,9 +837,8 @@ def _emit_call(e, instr, delta):
         lambda cur: [f"m.pending_callee = {sym}", f"return {-7 - cur}"])
     tree = _dispatch_tree(bodies, 0, len(cfunc.blocks), "    ", "_cb")
     (e.func_name, e.block_index, e.block, e.entry,
-     e.chain_entry, e.chain_next, e.dispatch_var, e.ret_break,
-     e.inline_arg_kinds, e.lines, e._indent,
-     e.machine._current_function) = saved
+     e.dispatch_var, e.ret_break, e.inline_arg_kinds, e.lines,
+     e._indent, e.machine._current_function) = saved
     for line in tree:
         e.emit(line)
     if need:
@@ -1121,13 +1108,6 @@ def _dispatch_tree(bodies: dict[int, list[str]], lo: int, hi: int,
     return out
 
 
-# Upper bound on blocks inlined into one dispatch entry's fallthrough/
-# JMP chain.  Bounds generated-code size at O(nblocks * _CHAIN_CAP)
-# bodies per function; chains usually end much earlier at a call,
-# return, or loop back-edge.
-_CHAIN_CAP = 16
-
-
 def _use_counts(machine: Machine, cfunc, summaries: dict | None = None
                 ) -> tuple[dict[int, int], dict[int, int]]:
     """Loop-weighted static register-use counts for ``cfunc``.
@@ -1227,13 +1207,12 @@ def _render_driver(machine: Machine, cfunc, block_index: dict[str, int],
     ``driver(m, ic, stop, bi)`` runs from block ``bi`` until a side
     exit, checking at each block entry that the block fits under
     ``stop`` (else it returns ``bi`` with ``m.icount`` synced, and the
-    interpreter takes over at that exact boundary).  Unconditional
-    fallthrough/JMP successors are emitted inline -- registers stay in
-    locals and no dispatch happens across them -- which is what fuses
-    SWIFT-R's tiny check-and-branch blocks into straight-line code.
-    Every block still performs its own entry fuel check, so the
-    pause-safety predicate is per-block-activation regardless of
-    inlining (the profiler's coverage simulation relies on this).
+    interpreter takes over at that exact boundary).  Each block has
+    exactly one compiled body; registers stay in locals across block
+    transitions, which go through the binary dispatch.  Every block
+    performs its own entry fuel check, so the pause-safety predicate is
+    per-block-activation (the profiler's coverage simulation relies on
+    this).
     """
     local_int, local_float = _plan_locals(machine, cfunc, summaries)
     emitter = _Emitter(machine, cfunc.name, block_index, whole=True,
@@ -1248,53 +1227,34 @@ def _render_driver(machine: Machine, cfunc, block_index: dict[str, int],
 
 def _render_block_loops(emitter: _Emitter, cfunc, fuel_stop
                         ) -> dict[int, list[str]]:
-    """Leaf-loop bodies for every block of ``cfunc``.
+    """One loop body per block of ``cfunc``, so generated size stays
+    linear in the function (plus one copy of each inlined leaf per call
+    site).
 
-    Each leaf is its own inner loop: a back-edge to the leaf's entry
-    block is a bare ``continue`` (no dispatch round trip, re-running
-    the entry fuel check); transfers anywhere else ``break`` back out
-    to the binary dispatch after assigning ``emitter.dispatch_var``.
-    ``fuel_stop(cur)`` supplies the exit lines for a block that cannot
+    Each body is its own inner loop: a back-edge to the block itself is
+    a bare ``continue`` (no dispatch round trip, re-running the entry
+    fuel check); transfers anywhere else ``break`` back out to the
+    binary dispatch after assigning ``emitter.dispatch_var``.
+    ``fuel_stop(b)`` supplies the exit lines for a block that cannot
     complete under ``stop`` (emitted after writeback and icount sync):
     a driver returns the block index; an inlined callee returns the
     ``-7 - block`` encoding with the callee pending.
     """
     nblocks = len(cfunc.blocks)
     bodies: dict[int, list[str]] = {}
-    for b in range(nblocks):
-        chain: list[str] = []
-        emitter.chain_entry = b
-        visited = {b}
-        cur = b
-        while True:
-            blk = cfunc.blocks[cur]
-            n = len(blk.instrs)
-            if n:
-                # Pause-safety fuel check: never start a block that
-                # could cross the stop boundary; the interpreter owns
-                # pauses (and any early branch out of the block).
-                chain.append(f"if ic + {n} > stop:")
-                chain.append("    " + _WB)
-                chain.append("    m.icount = ic")
-                chain += ["    " + line for line in fuel_stop(cur)]
-            emitter.chain_next = None
-            chain += emitter.emit_body(cur, 0, blk.instrs, nblocks)
-            nxt = emitter.chain_next
-            if nxt is None:
-                break
-            delta, target = nxt
-            if delta:
-                chain.append(f"ic += {delta}")
-            if target == b:
-                chain.append("continue")
-                break
-            if target in visited or len(visited) >= _CHAIN_CAP:
-                chain.append(f"{emitter.dispatch_var} = {target}")
-                chain.append("break")
-                break
-            visited.add(target)
-            cur = target
-        bodies[b] = ["while True:"] + ["    " + line for line in chain]
+    for b, blk in enumerate(cfunc.blocks):
+        body: list[str] = []
+        n = len(blk.instrs)
+        if n:
+            # Pause-safety fuel check: never start a block that could
+            # cross the stop boundary; the interpreter owns pauses (and
+            # any early branch out of the block).
+            body.append(f"if ic + {n} > stop:")
+            body.append("    " + _WB)
+            body.append("    m.icount = ic")
+            body += ["    " + line for line in fuel_stop(b)]
+        body += emitter.emit_body(b, 0, blk.instrs, nblocks)
+        bodies[b] = ["while True:"] + ["    " + line for line in body]
     return bodies
 
 
@@ -1348,25 +1308,28 @@ def compile_program(machine: Machine) -> JitProgram:
     tables = {}
     sources = {}
     count = 0
-    # Floats can only reach memory via FSTORE or the initial data
-    # image; absent both, every LOAD can skip its coercion check.
-    int_cells = not any(
-        instr.op is Opcode.FSTORE
-        for cf in machine.functions.values()
-        for blk in cf.blocks for instr in blk.instrs
-    ) and not any(
-        isinstance(v, float) for v in machine._initial_cells.values()
-    )
-    try:
-        summaries = _call_summaries(machine)
-        for name, cfunc in machine.functions.items():
-            table, source, segments = _compile_function(
-                machine, cfunc, int_cells, summaries)
-            tables[name] = table
-            sources[name] = source
-            count += segments
-    finally:
-        machine._current_function = saved
+    instrs = [instr for cf in machine.functions.values()
+              for blk in cf.blocks for instr in blk.instrs]
+    with span("sim.jit.compile", functions=len(machine.functions),
+              instructions=len(instrs)) as sp:
+        # Floats can only reach memory via FSTORE or the initial data
+        # image; absent both, every LOAD can skip its coercion check.
+        int_cells = not any(
+            instr.op is Opcode.FSTORE for instr in instrs
+        ) and not any(
+            isinstance(v, float) for v in machine._initial_cells.values()
+        )
+        try:
+            summaries = _call_summaries(machine)
+            for name, cfunc in machine.functions.items():
+                table, source, segments = _compile_function(
+                    machine, cfunc, int_cells, summaries)
+                tables[name] = table
+                sources[name] = source
+                count += segments
+        finally:
+            machine._current_function = saved
+        sp.set(source_bytes=sum(len(src) for src in sources.values()))
     return JitProgram(tables, sources, count)
 
 

@@ -398,7 +398,8 @@ class _Arm:
 
 
 def _run_engine(arms: list[_Arm], config: AdaptiveConfig,
-                jobs: int, monitor=None) -> AdaptiveResult:
+                jobs: int, start_time: float,
+                monitor=None) -> AdaptiveResult:
     def all_cells() -> list[StratumCell]:
         cells = []
         for arm in arms:
@@ -410,7 +411,6 @@ def _run_engine(arms: list[_Arm], config: AdaptiveConfig,
     total = 0
     target_met = False
     batch_index = 0
-    start_time = perf_counter()
     try:
         result = _run_engine_batches(
             arms, config, jobs, monitor, all_cells, n_cells, batches)
@@ -520,10 +520,13 @@ def run_adaptive_campaign(
     profiles); results are bit-identical either way.
     """
     config = config or AdaptiveConfig()
+    # Elapsed time covers the machine build, JIT compile and checkpoint
+    # build, like run_campaign's.
+    start_time = perf_counter()
     machine = machine or Machine(program, max_instructions=max_instructions)
     arm = _Arm(name, machine, 1.0, config, seed, log,
                jit=jit if jit is not None else True)
-    return _run_engine([arm], config, jobs, monitor=monitor)
+    return _run_engine([arm], config, jobs, start_time, monitor=monitor)
 
 
 def run_adaptive_suite(
@@ -547,10 +550,11 @@ def run_adaptive_suite(
         raise ValueError("adaptive suite needs at least one arm")
     config = config or AdaptiveConfig()
     weight = 1.0 / len(machines)
+    start_time = perf_counter()
     arms = [
         _Arm(name, machine, weight, config, seed,
              (logs or {}).get(name),
              jit=jit if jit is not None else True)
         for name, machine in machines
     ]
-    return _run_engine(arms, config, jobs, monitor=monitor)
+    return _run_engine(arms, config, jobs, start_time, monitor=monitor)

@@ -14,13 +14,45 @@ import random
 from repro.isa import Function, IRBuilder, Imm, Program
 
 
+def _add_leaf(program: Program, rng: random.Random) -> None:
+    """A two-parameter leaf function: a bounded loop over the scratch
+    array (load, store), then a branch to one of two return blocks."""
+    fn = Function("leaf", num_params=2)
+    program.add_function(fn)
+    b = IRBuilder(fn)
+    b.start_block("entry")
+    a = b.param(0)
+    c = b.param(1)
+    base = b.li(program.address_of("scratch"))
+    acc = b.xor(a, c)
+    i = b.li(0)
+    b.jmp("leaf_loop")
+    b.start_block("leaf_loop")
+    address = b.add(base, b.shl(b.and_(acc, 31), 3))
+    b.add(acc, b.load(address), dest=acc)
+    b.mul(acc, Imm(rng.choice([3, 5, 7])), dest=acc)
+    b.store(address, b.xor(acc, i))
+    b.add(i, 1, dest=i)
+    b.blt(i, rng.randrange(2, 5), "leaf_loop")
+    b.start_block("leaf_tail")
+    b.beq(b.and_(acc, 1), 0, "leaf_even")
+    b.start_block("leaf_odd")
+    b.ret(b.add(acc, a))
+    b.start_block("leaf_even")
+    b.ret(b.sub(acc, c))
+    fn.renumber_pool()
+
+
 def random_program(seed: int, num_blocks: int = 4,
-                   instrs_per_block: int = 12) -> Program:
+                   instrs_per_block: int = 12, leaf: bool = False) -> Program:
     """A random structured program printing a final checksum.
 
     The CFG is a chain of blocks, each optionally guarded by a bounded
     loop; the instruction mix covers arithmetic, logical, shift,
     compare, memory, and move operations over a scratch global array.
+    With ``leaf``, the program also has a function ``leaf`` (two
+    parameters, several blocks, a loop, no calls) that every loop block
+    calls once, and the first block always loops.
     """
     rng = random.Random(seed)
     program = Program()
@@ -31,6 +63,8 @@ def random_program(seed: int, num_blocks: int = 4,
     builder.start_block("entry")
     program.assign_addresses()
     base = builder.li(program.address_of("scratch"))
+    if leaf:
+        _add_leaf(program, rng)
 
     # A pool of live registers to draw operands from.
     live = [builder.li(rng.randrange(-100, 100)) for _ in range(6)]
@@ -46,13 +80,19 @@ def random_program(seed: int, num_blocks: int = 4,
             live.pop(0)
 
     for block_index in range(num_blocks):
-        loop = rng.random() < 0.5
+        loop = rng.random() < 0.5 or (leaf and block_index == 0)
+        call_at = -1
         if loop:
             counter = builder.li(0)
             loop_label = f"loop{block_index}"
             builder.jmp(loop_label)
             builder.start_block(loop_label)
-        for _ in range(instrs_per_block):
+            if leaf:
+                call_at = rng.randrange(instrs_per_block)
+        for position in range(instrs_per_block):
+            if position == call_at:
+                add_result(builder.call("leaf", [rng.choice(live),
+                                                 operand()]))
             choice = rng.random()
             if choice < 0.35:
                 op = rng.choice(

@@ -1,5 +1,7 @@
 """Adaptive campaigns: fault-space stratification, sequential engine."""
 
+import time
+
 import pytest
 
 from repro.faults import (
@@ -10,10 +12,12 @@ from repro.faults import (
 )
 from repro.obs.campaign_log import CampaignLog
 from repro.sim import Machine
+from repro.sim.jit import attach_jit
 from repro.stats import (
     AdaptiveConfig,
     run_adaptive_campaign,
     run_adaptive_suite,
+    sequential,
 )
 from repro.stats.space import profile_fault_space
 from repro.transform import Technique, allocate_program, protect
@@ -64,6 +68,19 @@ def test_fault_space_rejects_empty_run(simple_program):
 
 
 # -------------------------------------------------------------- sequential
+def test_elapsed_counts_jit_compile(swiftr_binary, monkeypatch):
+    """Like run_campaign's, the adaptive clock starts before the JIT
+    attach and checkpoint build."""
+    def slow_attach(machine):
+        time.sleep(0.2)
+        return attach_jit(machine)
+
+    monkeypatch.setattr(sequential, "attach_jit", slow_attach)
+    result = run_adaptive_campaign(
+        swiftr_binary, config=_config(batch_size=8, max_trials=8), seed=5)
+    assert result.result.elapsed_seconds >= 0.2
+
+
 def test_adaptive_campaign_stops_at_target(swiftr_binary):
     result = run_adaptive_campaign(swiftr_binary, config=_config(), seed=5)
     assert result.target_met

@@ -22,8 +22,15 @@ from repro.faults.model import FaultSite, sample_sites
 from repro.faults.parallel import run_parallel_campaign
 from repro.obs.campaign_log import CampaignLog
 from repro.sim import Machine
-from repro.sim.jit import attach_jit, jit_program_for
+from repro.eval import prepare_machine
+from repro.sim.jit import (
+    JitProgram,
+    attach_jit,
+    compile_program,
+    jit_program_for,
+)
 from repro.transform import Technique, allocate_program, protect
+from repro.workloads.suite import PAPER_BENCHMARKS
 
 
 def _machine_pair(program, max_instructions=2_000_000):
@@ -35,18 +42,20 @@ def _machine_pair(program, max_instructions=2_000_000):
 
 
 def _final_state(machine):
-    """Everything architectural a run leaves behind (positions hold
-    per-machine compiled-function objects, so compare by name)."""
+    """Everything architectural a run leaves behind (positions and call
+    frames hold per-machine compiled-function objects, so compare by
+    name)."""
     position = machine._position
     if position is not None:
         position = (position[0].name, position[1], position[2])
+    call_stack = [(fn.name, *rest) for fn, *rest in machine.call_stack]
     return (
         machine.icount,
         list(machine.regs),
         list(machine.fregs),
         dict(machine.memory.cells),
         list(machine.output),
-        list(machine.call_stack),
+        call_stack,
         list(machine.arg_stack),
         machine.recoveries,
         machine.first_recovery_icount,
@@ -55,9 +64,10 @@ def _final_state(machine):
     )
 
 
-def _binaries(seed):
+def _binaries(seed, leaf=False):
     """One random program as (virtual-register, protected-physical)."""
-    program = random_program(seed, num_blocks=3, instrs_per_block=9)
+    program = random_program(seed, num_blocks=3, instrs_per_block=9,
+                             leaf=leaf)
     protected = allocate_program(protect(program, Technique.SWIFTR))
     return [program, protected]
 
@@ -68,8 +78,9 @@ def _binaries(seed):
 def test_differential_fuzz_golden_and_faulty(seed):
     """Random programs + random fault plans: the JIT agrees with the
     interpreter on every RunResult field and every byte of final
-    architectural state."""
-    for binary in _binaries(seed):
+    architectural state.  The second pair of binaries has loops that
+    call a leaf function, which the JIT expands inline."""
+    for binary in _binaries(seed) + _binaries(seed, leaf=True):
         jit_machine, ref_machine = _machine_pair(binary)
         jit_golden = golden_run(jit_machine)
         ref_golden = golden_run(ref_machine)
@@ -137,16 +148,13 @@ def test_load_miss_paths_match_interpreter():
 
 
 # --------------------------------------- mid-block injection side exits
-def test_mid_block_injection_every_icount():
-    """Pausing a compiled block at *every* dynamic instruction of a
-    prefix -- most of them mid-block -- leaves state bit-identical to
-    the interpreter, at the pause and at the end of the faulty run."""
-    binary = _binaries(11)[1]
-    jit_machine, ref_machine = _machine_pair(binary)
+def _assert_pauses_match(jit_machine, ref_machine, limit):
+    """Pause both engines at each of the first ``limit`` icounts, flip a
+    bit, run to the end: state is bit-identical at the pause and after
+    the faulty run."""
     golden = golden_run(ref_machine)
     assert golden_run(jit_machine) == golden
-    span = min(golden.instructions, 240)
-    for icount in range(span):
+    for icount in range(min(golden.instructions, limit)):
         site = FaultSite(dynamic_index=icount,
                          reg_index=5 + (icount % 3) * 4,
                          bit=(icount * 7) % 64)
@@ -163,6 +171,40 @@ def test_mid_block_injection_every_icount():
             completions.append(machine.run(None))
         assert completions[0] == completions[1], icount
         assert _final_state(jit_machine) == _final_state(ref_machine), icount
+
+
+def test_mid_block_injection_every_icount():
+    """Pausing a compiled block at *every* dynamic instruction of a
+    prefix -- most of them mid-block -- leaves state bit-identical to
+    the interpreter, at the pause and at the end of the faulty run."""
+    _assert_pauses_match(*_machine_pair(_binaries(11)[1]), 240)
+
+
+def _recording_jit(machine, actions):
+    """A JitProgram whose drivers append every action they return."""
+    compiled = compile_program(machine)
+    tables = {}
+    for name, (driver, resumes) in compiled.tables_by_name.items():
+        if driver is not None:
+            def recording(m, ic, stop, bi, _driver=driver):
+                action = _driver(m, ic, stop, bi)
+                actions.append(action)
+                return action
+            driver = recording
+        tables[name] = (driver, resumes)
+    return JitProgram(tables, compiled.sources, compiled.segment_count)
+
+
+def test_pause_every_icount_across_inlined_call():
+    """Pausing at every icount of a run that calls an inlined leaf:
+    pauses inside the leaf take the ``-7 - block`` fuel stop out of the
+    caller's driver, and state still matches the interpreter."""
+    for binary in _binaries(17, leaf=True):
+        jit_machine, ref_machine = _machine_pair(binary)
+        actions = []
+        jit_machine.jit = _recording_jit(jit_machine, actions)
+        _assert_pauses_match(jit_machine, ref_machine, 900)
+        assert any(action <= -7 for action in actions)
 
 
 # ------------------------------------------- snapshot/restore round trip
@@ -249,6 +291,29 @@ def test_jit_program_cached_per_program_identity():
     a = Machine(binary, max_instructions=2_000_000)
     b = Machine(binary, max_instructions=2_000_000)
     assert jit_program_for(a) is jit_program_for(b)
+
+
+# ------------------------------------------------------- generated size
+#: Generated Python source allowed per protected instruction.  One
+#: compiled body per block keeps every paper cell within 0.5-2.2
+#: KB/instr; copying blocks into their predecessors would multiply it.
+_SOURCE_BYTES_PER_INSTR = 4096
+
+
+def test_generated_source_is_linear_in_program_size():
+    """Every paper benchmark's NOFT, TRUMP and SWIFT-R binary compiles
+    to at most a fixed number of source bytes per instruction."""
+    for benchmark in PAPER_BENCHMARKS:
+        for technique in (Technique.NOFT, Technique.TRUMP,
+                          Technique.SWIFTR):
+            machine = prepare_machine(benchmark, technique)
+            instructions = sum(len(blk.instrs)
+                               for cf in machine.functions.values()
+                               for blk in cf.blocks)
+            source_bytes = sum(
+                len(src) for src in compile_program(machine).sources.values())
+            assert source_bytes <= _SOURCE_BYTES_PER_INSTR * instructions, (
+                benchmark, technique.value, source_bytes / instructions)
 
 
 # ----------------------------------------------------- zero-cost-when-off

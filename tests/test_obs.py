@@ -17,6 +17,7 @@ from repro.obs import (
 )
 from repro.obs import metrics, spans
 from repro.sim import Machine, RunStatus
+from repro.sim.jit import compile_program
 from repro.transform import Technique, allocate_program, protect
 from repro.__main__ import main as cli_main
 
@@ -139,6 +140,20 @@ def test_pipeline_emits_spans(simple_program):
     allocate_program(protect(simple_program, Technique.SWIFTR))
     names = {s.name for s in spans.collector().drain()}
     assert {"protect", "regalloc"} <= names
+
+
+def test_jit_compile_emits_sized_span(swiftr_binary):
+    machine = Machine(swiftr_binary)
+    spans.enable()
+    compiled = compile_program(machine)
+    (jit_span,) = [s for s in spans.collector().drain()
+                   if s.name == "sim.jit.compile"]
+    assert jit_span.attrs["functions"] == len(machine.functions)
+    assert jit_span.attrs["instructions"] == sum(
+        len(blk.instrs) for cf in machine.functions.values()
+        for blk in cf.blocks)
+    assert jit_span.attrs["source_bytes"] == sum(
+        len(src) for src in compiled.sources.values())
 
 
 # ------------------------------------------------- campaign log + latencies

@@ -1,11 +1,18 @@
 """Process-parallel campaigns: sharding, determinism, telemetry order."""
 
+import time
+
+import pytest
+
 from repro.faults import Outcome, run_campaign, run_parallel_campaign
+from repro.faults import campaign as campaign_module
+from repro.faults import parallel as parallel_module
 from repro.faults.parallel import _partition, default_jobs
 from repro.faults.model import INJECTABLE_GPRS, FaultSite, sample_sites
 from repro.lang import compile_source
 from repro.obs.campaign_log import CampaignLog
 from repro.sim import Machine
+from repro.sim.jit import attach_jit
 from repro.transform import Technique, allocate_program, protect
 
 
@@ -28,6 +35,23 @@ def test_jobs2_matches_jobs1(simple_program):
     assert serial == parallel
     assert log1.records == log2.records
     assert [r.trial for r in log2.records] == list(range(24))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_elapsed_counts_jit_compile_at_any_jobs(simple_program,
+                                                monkeypatch, jobs):
+    """``elapsed_seconds`` starts before the machine build and JIT
+    attach in every runner, so the printed trials/s does not depend
+    on ``--jobs``."""
+    def slow_attach(machine):
+        time.sleep(0.2)
+        return attach_jit(machine)
+
+    for module in (campaign_module, parallel_module):
+        monkeypatch.setattr(module, "attach_jit", slow_attach)
+    result = run_parallel_campaign(simple_program, trials=4, seed=3,
+                                   jobs=jobs, jit=True)
+    assert result.elapsed_seconds >= 0.2
 
 
 def test_jobs2_uses_the_passed_machines_budget():
