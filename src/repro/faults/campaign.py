@@ -266,7 +266,7 @@ def run_campaign(
     if profile is not None:
         machine.profile = profile
         if jit:
-            # Profiled execution uses the counting interpreter loop;
+            # Profiled execution uses the hooked interpreter loop;
             # annotate which functions the JIT *would* run compiled so
             # `obs hotspots` can report coverage for --jit campaigns.
             profile.annotate_jit(machine)

@@ -15,8 +15,8 @@ collects, per ``(function, block)``:
   trace candidate or a dispatch hub;
 * **fault-mode interaction counts** -- repair-block entries
   (``ACT_RECOVER``) attributed to the block they fired in, plus how
-  many trials ran under taint tracing (those instructions execute in
-  the traced loop and are *not* counted here);
+  many trials ran under taint tracing (the run loop reports those
+  instructions to the tracker, so they are *not* counted here);
 * **sampled wall time** -- a countdown sampler reads the clock once
   every ``sample_every`` instructions and attributes the elapsed slice
   to the block that tripped it.  Wall shares are noisy by design and
@@ -24,15 +24,21 @@ collects, per ``(function, block)``:
   carry the ranking.
 
 The profiler attaches to a machine exactly like the taint tracker:
-``machine.profile = SimProfiler()`` switches :meth:`Machine.run` onto a
-mirrored counting loop; ``machine.profile = None`` (the default) keeps
-the fast loop untouched -- the only cost of the feature existing is one
-attribute check per ``run()`` call, not per instruction.
+``machine.profile = SimProfiler()`` switches :meth:`Machine.run` onto the
+hooked interpreter loop the tracker also uses; ``machine.profile = None``
+(the default) keeps the fast loop untouched -- the only cost of the
+feature existing is one attribute check per ``run()`` call, not per
+instruction.  Attached, the profiler does no per-instruction work
+either: each block activation reports where it started and ended, and
+the per-index counts are derived from those spans.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from time import perf_counter
+
+from ..sim.events import RunHook
 
 #: Side-exit kinds recorded per block, in report column order.
 EXIT_KINDS = ("branch", "fall", "call", "ret", "exit",
@@ -44,7 +50,7 @@ EXIT_KINDS = ("branch", "fall", "call", "ret", "exit",
 DEFAULT_SAMPLE_EVERY = 4096
 
 
-class SimProfiler:
+class SimProfiler(RunHook):
     """Accumulates per-block execution profiles across runs.
 
     One profiler can observe any number of runs and machines (the
@@ -55,8 +61,10 @@ class SimProfiler:
 
     def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
         self.sample_every = max(int(sample_every), 1)
-        #: (function, block) -> per-instruction-index execution counts.
-        self.index_counts: dict[tuple[str, str], list[int]] = {}
+        #: (function, block) -> difference array of the per-index counts
+        #: (one slot longer than the block): an activation that executed
+        #: indices ``start..end-1`` adds 1 at ``start`` and -1 at ``end``.
+        self._deltas: dict[tuple[str, str], list[int]] = {}
         #: (function, block) -> opcode names, parallel to index_counts.
         self.block_ops: dict[tuple[str, str], tuple[str, ...]] = {}
         #: (function, block) -> {exit kind -> count}.
@@ -65,30 +73,35 @@ class SimProfiler:
         self.recoveries: dict[tuple[str, str], int] = {}
         #: (function, block) -> sampled wall seconds.
         self.wall: dict[tuple[str, str], float] = {}
-        #: Trials that ran (partly) in the taint-traced loop, whose
+        #: Trials that ran (partly) under taint tracing, whose
         #: instructions this profiler therefore did not see.
         self.taint_trials = 0
         #: function name -> whether the block JIT compiled it (None
         #: until :meth:`annotate_jit` runs; profiled execution itself
-        #: always uses the counting interpreter loop).
+        #: always uses the hooked interpreter loop).
         self.jit_functions: dict[str, bool] | None = None
         self._countdown = self.sample_every
         self._last_sample = perf_counter()
+        # The activation in progress: its key, difference array and
+        # start index.
+        self._key: tuple[str, str] | None = None
+        self._delta: list[int] = []
+        self._start = 0
 
     # ------------------------------------------------------------ loop hooks
-    def register_block(self, key: tuple[str, str], block) -> list[int]:
-        """First sighting of a block: allocate its count vector."""
-        counts = self.index_counts.get(key)
-        if counts is None:
-            counts = self.index_counts[key] = [0] * len(block.instrs)
+    def on_block(self, function: str, block, start: int) -> None:
+        key = (function, block.name)
+        delta = self._deltas.get(key)
+        if delta is None:
+            delta = self._deltas[key] = [0] * (len(block.instrs) + 1)
             self.block_ops[key] = tuple(
                 ins.op.name for ins in block.instrs)
             self.exits.setdefault(key, {})
-        return counts
-
-    def block_tick(self, key: tuple[str, str], instructions: int) -> None:
-        """Advance the wall sampler by one block activation."""
-        self._countdown -= instructions
+        self._key = key
+        self._delta = delta
+        self._start = start
+        # Wall sampler: advanced by the block's length per activation.
+        self._countdown -= len(block.instrs)
         if self._countdown <= 0:
             now = perf_counter()
             self.wall[key] = (self.wall.get(key, 0.0)
@@ -96,11 +109,16 @@ class SimProfiler:
             self._last_sample = now
             self._countdown = self.sample_every
 
-    def record_exit(self, key: tuple[str, str], kind: str) -> None:
-        exits = self.exits.setdefault(key, {})
-        exits[kind] = exits.get(kind, 0) + 1
+    def on_exit(self, kind: str | None, end: int) -> None:
+        delta = self._delta
+        delta[self._start] += 1
+        delta[end] -= 1
+        if kind is not None:
+            exits = self.exits[self._key]
+            exits[kind] = exits.get(kind, 0) + 1
 
-    def record_recovery(self, key: tuple[str, str]) -> None:
+    def on_recovery(self, icount: int, loc: tuple[str, str, int]) -> None:
+        key = self._key
         self.recoveries[key] = self.recoveries.get(key, 0) + 1
 
     def annotate_jit(self, machine) -> None:
@@ -114,7 +132,7 @@ class SimProfiler:
         side exits -- injection pauses, mid-block resumes -- re-enter
         compiled code immediately, so function granularity is the
         honest approximation.  Profiled execution itself always runs
-        the counting interpreter loop; this only annotates.
+        the hooked interpreter loop; this only annotates.
         """
         from ..sim.jit import jit_program_for
 
@@ -125,6 +143,12 @@ class SimProfiler:
         }
 
     # ------------------------------------------------------------- aggregates
+    @property
+    def index_counts(self) -> dict[tuple[str, str], list[int]]:
+        """(function, block) -> per-instruction-index execution counts."""
+        return {key: list(accumulate(delta[:-1]))
+                for key, delta in self._deltas.items()}
+
     @property
     def total_instructions(self) -> int:
         return sum(sum(counts) for counts in self.index_counts.values())
@@ -151,13 +175,13 @@ class SimProfiler:
         deterministic field, which is what makes ``--jobs N`` profiles
         bit-identical to serial ones; wall samples simply add.
         """
-        for key, counts in other.index_counts.items():
-            mine = self.index_counts.get(key)
+        for key, delta in other._deltas.items():
+            mine = self._deltas.get(key)
             if mine is None:
-                self.index_counts[key] = list(counts)
+                self._deltas[key] = list(delta)
                 self.block_ops[key] = other.block_ops[key]
             else:
-                for i, count in enumerate(counts):
+                for i, count in enumerate(delta):
                     mine[i] += count
         for key, exits in other.exits.items():
             mine_exits = self.exits.setdefault(key, {})
@@ -178,20 +202,21 @@ class SimProfiler:
         """JSONL-ready records: one summary, one per block, one per
         opcode.  Deterministic fields are exact; wall fields are the
         sampler's estimates."""
-        total = self.total_instructions
+        index_counts = self.index_counts
+        total = sum(sum(counts) for counts in index_counts.values())
         total_wall = self.total_wall
         records: list[dict] = []
         summary = {
             "kind": "profile_summary",
             "total_instructions": total,
-            "blocks": len(self.index_counts),
+            "blocks": len(index_counts),
             "sample_every": self.sample_every,
             "wall_seconds": round(total_wall, 6),
             "taint_trials": self.taint_trials,
         }
         if self.jit_functions is not None:
             jit_instructions = sum(
-                sum(counts) for key, counts in self.index_counts.items()
+                sum(counts) for key, counts in index_counts.items()
                 if self.jit_functions.get(key[0], False))
             summary["jit_instructions"] = jit_instructions
             summary["jit_coverage"] = (round(jit_instructions / total, 8)
@@ -199,8 +224,8 @@ class SimProfiler:
         if context:
             summary.update(context)
         records.append(summary)
-        for key in sorted(self.index_counts):
-            counts = self.index_counts[key]
+        for key in sorted(index_counts):
+            counts = index_counts[key]
             instructions = sum(counts)
             record = {
                 "kind": "block_profile",
@@ -213,7 +238,7 @@ class SimProfiler:
                           in sorted(self.exits.get(key, {}).items())},
                 "recoveries": self.recoveries.get(key, 0),
                 "wall_seconds": round(self.wall.get(key, 0.0), 6),
-                "index_counts": list(counts),
+                "index_counts": counts,
             }
             if self.jit_functions is not None:
                 record["jit"] = self.jit_functions.get(key[0], False)

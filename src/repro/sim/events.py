@@ -68,3 +68,41 @@ class RunResult:
             f"<RunResult {self.status.value} exit={self.exit_code} "
             f"instrs={self.instructions} out={len(self.output)} items>"
         )
+
+
+class RunHook:
+    """Observer of :meth:`Machine.run`'s hooked interpreter loop.
+
+    Attaching a hook (``machine.taint`` or ``machine.profile``) moves
+    execution onto the one loop that reports these events; execution
+    itself is bit-identical either way.  Every method is a no-op here, so
+    an observer overrides only the events it needs.
+    """
+
+    #: ``before_step(machine, instr, icount, loc)`` -- called before each
+    #: instruction executes, with the icount it will retire at and its
+    #: ``(function, block, index)`` location; ``None`` skips the call.
+    before_step = None
+    #: Set by an observer whose step budget ran out: the loop hands the
+    #: rest of the run back to :meth:`Machine.run` at the next step.
+    exhausted = False
+
+    def on_block(self, function: str, block, start: int) -> None:
+        """An activation of compiled ``block`` begins at index ``start``."""
+
+    def on_exit(self, kind: str | None, end: int) -> None:
+        """The current activation ended after executing up to (not
+        including) index ``end``; ``kind`` is one of the profiler's
+        ``EXIT_KINDS``, or ``None`` for a pause."""
+
+    def on_call(self) -> None:
+        """A call frame was pushed; the callee runs next."""
+
+    def on_ret(self, dest: int, dest_float: bool) -> None:
+        """A callee returned into register slot ``dest`` (-1: none)."""
+
+    def on_detect(self, icount: int, loc: tuple[str, str, int]) -> None:
+        """A detection check fired at ``loc``."""
+
+    def on_recovery(self, icount: int, loc: tuple[str, str, int]) -> None:
+        """Control entered a repair block at ``loc``."""

@@ -24,26 +24,29 @@ Execution model ("side exits"):
 * **Pause safety (fault injection, hangs):** the driver checks, at
   every block entry, that the whole block fits under ``stop_at``
   (``ic + len(block) <= stop``).  If not it returns with control at
-  that block boundary and ``Machine._run_jit`` interprets
-  instruction-by-instruction -- so the pause at a fault site's exact
-  dynamic icount, the instruction-budget hang, and snapshot boundaries
-  are always taken by the interpreter loop, bit-identically.
+  that block boundary and ``Machine._run_jit`` hands the block to the
+  fast interpreter loop (``Machine._interpret``), capped at the
+  block's end or ``stop_at``, whichever comes first -- so the pause at
+  a fault site's exact dynamic icount, the instruction-budget hang,
+  and snapshot boundaries are always taken by the interpreter,
+  bit-identically.  A capped run that stops short of ``stop_at``
+  resumes compiled dispatch where it paused.
 * **Mid-block entry:** a ``CALL`` side-exits the driver (pushing its
   return frame directly); the post-call suffix of the block is
   compiled as a separate *resume segment* keyed ``(block, index)``.
   Restores into any other mid-block position (checkpoint restore,
-  opcode-fault stepping) fall back to the interpreter until the next
-  control transfer, then splice back into compiled dispatch.
+  opcode-fault stepping) take the same capped interpreter side exit
+  to the end of the block, then splice back into compiled dispatch.
 * **Traps:** trapping templates (memory access, DIV/REM, CVTFI,
   PARAM) record the exact retired count before any side effect, and
   the interpreter's trapping steps never mutate state before raising,
   so a compiled trap re-raises with bit-identical ``RunResult``
   accounting.
 * Taint tracing and profiling take precedence over the JIT in
-  ``Machine.run`` -- their mirror loops observe every instruction, so
-  compiled execution is bypassed while either is attached (the
-  profiler still *simulates* the dispatch predicate to measure JIT
-  coverage; see :mod:`repro.obs.profile`).
+  ``Machine.run``: both observe execution through the hooked
+  interpreter loop, so compiled execution is bypassed while either is
+  attached (the profiler still records which functions the JIT
+  compiles to report coverage; see :mod:`repro.obs.profile`).
 
 Generated code holds no per-run state: drivers read the register files
 and memory afresh from the ``Machine`` argument on every activation,

@@ -155,21 +155,21 @@ class Machine:
         self._position: tuple[CompiledFunction, int, int] | None = None
         self._finished: RunResult | None = None
         # Fault-provenance hook: a repro.sim.taint.TaintTracker, or None.
-        # With None (the default) run() takes the original tight loop and
-        # pays nothing; the injector attaches a tracker around the flip.
+        # With None (the default) run() takes the fast loop and pays
+        # nothing; the injector attaches a tracker around the flip.
         self.taint = None
         # Hot-path profiler hook: a repro.obs.profile.SimProfiler, or
         # None.  Same gating contract as ``taint``: one attribute check
         # per run() call, never per instruction, and bit-identical
-        # execution either way.
+        # execution either way.  Both observers run on _run_hooked.
         self.profile = None
         # Block-JIT hook: a repro.sim.jit.JitProgram, or None.  Same
         # gating contract again -- one attribute check per run() call.
         # Attached, run() executes compiled basic-block segments and
-        # side-exits into the interpreter for pauses, hangs, mid-block
+        # side-exits into the fast loop for pauses, hangs, mid-block
         # resumes, and uncompiled positions (see repro.sim.jit).
-        # Taint and profile take precedence: their mirror loops must
-        # observe every instruction.
+        # Taint and profile take precedence: the hooked loop must
+        # observe every block activation.
         self.jit = None
         self.reset()
 
@@ -228,14 +228,23 @@ class Machine:
             return self._finished
         if self._position is None:
             raise SimulationError("machine not reset")
-        if self.taint is not None and not self.taint.exhausted:
-            return self._run_traced(limit)
-        if self.profile is not None:
-            return self._run_profiled(limit)
-        if self.jit is not None:
-            return self._run_jit(limit)
         hard_limit = self.max_instructions
         stop_at = hard_limit if limit is None else min(limit, hard_limit)
+        taint = self.taint
+        if taint is not None and not taint.exhausted:
+            return self._run_hooked(taint, stop_at)
+        profile = self.profile
+        if profile is not None:
+            return self._run_hooked(profile, stop_at)
+        if self.jit is not None:
+            return self._run_jit(stop_at)
+        return self._interpret(stop_at)
+
+    def _interpret(self, stop_at: int) -> RunResult:
+        """The fast loop: one compiled closure per dynamic instruction,
+        pausing before the instruction that would retire past
+        ``stop_at`` (a HANG once that is the instruction budget)."""
+        hard_limit = self.max_instructions
         func, block_idx, i = self._position
         icount = self.icount
         try:
@@ -273,24 +282,11 @@ class Machine:
                         advanced = True
                         break
                     if act == ACT_RET:
-                        if not self.call_stack:
+                        frame = self._return_to_caller()
+                        if frame is None:
                             self.icount = icount
                             return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
+                        func, block_idx, i = frame[:3]
                         advanced = True
                         break
                     if act == ACT_EXIT:
@@ -325,6 +321,25 @@ class Machine:
             self.icount = icount
             return self._finish(RunStatus.TRAPPED, trap)
 
+    def _return_to_caller(self) -> tuple | None:
+        """Pop the innermost call frame and write ``ret_value`` into its
+        destination register.  Returns the popped frame ``(function,
+        block, index, dest, dest_float)``, or ``None`` when the entry
+        function itself returned (the program ends)."""
+        if not self.call_stack:
+            return None
+        frame = self.call_stack.pop()
+        self.arg_stack.pop()
+        dest = frame[3]
+        if dest >= 0:
+            value = self.ret_value
+            if frame[4]:
+                self.fregs[dest] = float(value) if value is not None else 0.0
+            else:
+                self.regs[dest] = (int(value) & MASK64
+                                   if value is not None else 0)
+        return frame
+
     def _finish(self, status: RunStatus, trap: GuestTrap | None = None
                 ) -> RunResult:
         result = RunResult(
@@ -344,101 +359,94 @@ class Machine:
     def run_to_completion(self) -> RunResult:
         return self.run(None)
 
-    def _run_traced(self, limit: int | None = None) -> RunResult:
-        """The :meth:`run` loop with per-instruction taint hooks.
+    def _run_hooked(self, hook, stop_at: int) -> RunResult:
+        """The :meth:`_interpret` loop reporting to an observer.
 
-        Mirrors the fast loop action for action (pause/limit handling,
-        call/return bookkeeping, trap conversion) but consults the block's
-        ``instrs`` alongside its compiled ``steps`` so the attached
-        :class:`~repro.sim.taint.TaintTracker` can observe every dynamic
-        instruction before it executes.  When the tracker's step budget
-        runs out mid-run, control transfers back to the fast loop at the
-        exact same architectural state.
+        ``hook`` (a :class:`~repro.sim.events.RunHook`: the taint
+        tracker or the profiler) sees every block activation, call,
+        return, detection and repair-block entry, and how each
+        activation ended.  A hook with ``before_step`` also sees every
+        instruction before it executes; when its step budget runs out,
+        the rest of the run goes back through :meth:`run` at the same
+        architectural state.  Execution is bit-identical to the fast
+        loop.
         """
-        taint = self.taint
+        before_step = hook.before_step
         hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
         func, block_idx, i = self._position
-        self._current_function = func.name
         icount = self.icount
         try:
             while True:
                 block = func.blocks[block_idx]
                 steps = block.steps
+                n = len(steps)
                 instrs = block.instrs
-                name = block.name
-                n = len(steps)
+                fname = func.name
+                bname = block.name
+                self._current_function = fname
+                hook.on_block(fname, block, i)
                 advanced = False
                 while i < n:
                     if icount >= stop_at:
                         self.icount = icount
                         self._position = (func, block_idx, i)
                         if icount >= hard_limit:
+                            hook.on_exit("hang", i)
                             return self._finish(RunStatus.HANG)
+                        hook.on_exit(None, i)
                         return RunResult(RunStatus.PAUSED,
                                          instructions=icount)
-                    if taint.exhausted:
-                        # Step budget spent: hand the rest of the run to
-                        # the fast loop (identical results, no tracing).
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        return self.run(limit)
+                    if before_step is not None:
+                        if hook.exhausted:
+                            self.icount = icount
+                            self._position = (func, block_idx, i)
+                            return self.run(stop_at)
+                        before_step(self, instrs[i], icount + 1,
+                                    (fname, bname, i))
                     icount += 1
-                    loc = (func.name, name, i)
-                    taint.before_step(self, instrs[i], icount, loc)
                     act = steps[i](self)
                     if act is None:
                         i += 1
                         continue
                     if act >= 0:
+                        hook.on_exit("branch", i + 1)
                         block_idx = act
                         i = 0
                         advanced = True
                         break
                     if act == ACT_CALL:
+                        hook.on_exit("call", i + 1)
                         self.call_stack.append(
                             (func, block_idx, i + 1,
                              self.pending_dest, self.pending_dest_float)
                         )
-                        taint.on_call()
+                        hook.on_call()
                         func = self.pending_callee
-                        self._current_function = func.name
                         block_idx = 0
                         i = 0
                         advanced = True
                         break
                     if act == ACT_RET:
-                        if not self.call_stack:
+                        hook.on_exit("ret", i + 1)
+                        frame = self._return_to_caller()
+                        if frame is None:
                             self.icount = icount
                             return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        taint.on_ret(dest, dest_float)
-                        self._current_function = func.name
+                        func, block_idx, i, dest, dest_float = frame
+                        hook.on_ret(dest, dest_float)
                         advanced = True
                         break
                     if act == ACT_EXIT:
+                        hook.on_exit("exit", i + 1)
                         self.icount = icount
                         return self._finish(RunStatus.EXITED)
                     if act == ACT_DETECT:
-                        taint.on_detect(icount, loc)
+                        hook.on_detect(icount, (fname, bname, i))
+                        hook.on_exit("detect", i + 1)
                         self.icount = icount
                         return self._finish(RunStatus.DETECTED)
                     if act == ACT_RECOVER:
-                        taint.on_recovery(icount, loc)
+                        hook.on_recovery(icount, (fname, bname, i))
                         self.recoveries += 1
                         if self.first_recovery_icount is None:
                             self.first_recovery_icount = icount
@@ -446,307 +454,106 @@ class Machine:
                         continue
                     raise SimulationError(f"bad step action {act}")
                 if not advanced:
-                    block_idx += 1
-                    i = 0
-                    if block_idx >= len(func.blocks):
+                    if block_idx + 1 >= len(func.blocks):
                         raise GuestTrap(
                             TrapKind.SEGFAULT,
                             f"control fell off the end of {func.name}",
                         )
-        except GuestTrap as trap:
-            self.icount = icount
-            return self._finish(RunStatus.TRAPPED, trap)
-
-    def _run_profiled(self, limit: int | None = None) -> RunResult:
-        """The :meth:`run` loop with per-block profiling hooks.
-
-        Mirrors the fast loop action for action (pause/limit handling,
-        call/return bookkeeping, trap conversion), so execution is
-        bit-identical with or without an attached
-        :class:`~repro.obs.profile.SimProfiler`.  Per instruction the
-        only extra work is one list-element increment into the current
-        block's count vector; block lookup, side-exit recording, and
-        the wall-clock sampler run once per block activation.
-        """
-        prof = self.profile
-        index_counts = prof.index_counts
-        hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
-        func, block_idx, i = self._position
-        icount = self.icount
-        key = None
-        try:
-            while True:
-                block = func.blocks[block_idx]
-                steps = block.steps
-                n = len(steps)
-                key = (func.name, block.name)
-                counts = index_counts.get(key)
-                if counts is None:
-                    counts = prof.register_block(key, block)
-                prof.block_tick(key, n)
-                advanced = False
-                while i < n:
-                    if icount >= stop_at:
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        if icount >= hard_limit:
-                            prof.record_exit(key, "hang")
-                            return self._finish(RunStatus.HANG)
-                        return RunResult(RunStatus.PAUSED,
-                                         instructions=icount)
-                    icount += 1
-                    counts[i] += 1
-                    act = steps[i](self)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        prof.record_exit(key, "branch")
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_CALL:
-                        prof.record_exit(key, "call")
-                        self.call_stack.append(
-                            (func, block_idx, i + 1,
-                             self.pending_dest, self.pending_dest_float)
-                        )
-                        func = self.pending_callee
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_RET:
-                        prof.record_exit(key, "ret")
-                        if not self.call_stack:
-                            self.icount = icount
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        advanced = True
-                        break
-                    if act == ACT_EXIT:
-                        prof.record_exit(key, "exit")
-                        self.icount = icount
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        prof.record_exit(key, "detect")
-                        self.icount = icount
-                        return self._finish(RunStatus.DETECTED)
-                    if act == ACT_RECOVER:
-                        prof.record_recovery(key)
-                        self.recoveries += 1
-                        if self.first_recovery_icount is None:
-                            self.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
+                    hook.on_exit("fall", n)
                     block_idx += 1
                     i = 0
-                    if block_idx >= len(func.blocks):
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
-                    prof.record_exit(key, "fall")
         except GuestTrap as trap:
-            if key is not None:
-                prof.record_exit(key, "trap")
+            # A trapping step has retired (index i); falling off the
+            # function's end leaves i == n.
+            hook.on_exit("trap", min(i + 1, n))
             self.icount = icount
             return self._finish(RunStatus.TRAPPED, trap)
 
-    def _run_jit(self, limit: int | None = None) -> RunResult:
+    def _run_jit(self, stop_at: int) -> RunResult:
         """The :meth:`run` loop at compiled-function granularity.
 
         At every block boundary (``i == 0``) the dispatcher enters the
         current function's compiled driver, which executes whole blocks
         with registers in Python locals and only returns at true side
         exits (call/ret/exit/detect) or when the next block could cross
-        ``stop_at`` -- in which case it returns that block's index and
-        the interpreter fallback below runs it instruction by
-        instruction, taking the pause/hang at the exact icount.
-        Mid-block positions use the per-resume-point segment table
-        (post-``CALL`` suffixes) or the interpreter.  Compiled ``CALL``
-        code pushes its return frame itself, so the dispatcher only
-        swaps in the callee.  Bit-identical to the fast loop by
-        construction; ``tests/test_jit.py`` fuzzes the claim.
+        ``stop_at``.  Mid-block positions use the per-resume-point
+        segment table (post-``CALL`` suffixes).  Whatever compiled code
+        cannot run -- a block that might cross ``stop_at``, another
+        mid-block position, an uncompiled function -- goes to
+        :meth:`_interpret` capped at the end of the current block (or
+        ``stop_at``, whichever comes first), so the pause or hang at
+        the exact icount is always taken by the interpreter; below
+        ``stop_at``, compiled dispatch resumes where it stopped.
+        Compiled ``CALL`` code pushes its return frame itself, so the
+        dispatcher only swaps in the callee.  Bit-identical to the fast
+        loop by construction; ``tests/test_jit.py`` fuzzes the claim.
         """
         jit = self.jit
-        hard_limit = self.max_instructions
-        stop_at = hard_limit if limit is None else min(limit, hard_limit)
         func, block_idx, i = self._position
         driver, resumes = jit.tables(func.name)
-        icount = self.icount
         try:
             while True:
-                # ------------------------------ compiled dispatch
-                ran = False
+                act = None
                 if i == 0:
                     if driver is not None:
-                        act = driver(self, icount, stop_at, block_idx)
-                        icount = self.icount
+                        act = driver(self, self.icount, stop_at, block_idx)
                         if act >= 0:
                             # Fuel stop: block ``act`` cannot complete
-                            # before stop_at; the interpreter owns the
-                            # pause (and any early branch out).
+                            # before stop_at.
                             block_idx = act
-                        else:
-                            ran = True
+                            act = None
                 else:
                     entry = resumes.get((block_idx, i))
-                    if entry is not None and icount + entry[1] <= stop_at:
-                        act = entry[0](self, icount)
-                        icount = self.icount
-                        ran = True
-                if ran:
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        continue
-                    if act == ACT_CALL:
-                        # The compiled CALL already pushed its frame.
-                        func = self.pending_callee
-                        driver, resumes = jit.tables(func.name)
-                        block_idx = 0
-                        i = 0
-                        continue
-                    if act == ACT_RET:
-                        if not self.call_stack:
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None
-                                    else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        driver, resumes = jit.tables(func.name)
-                        continue
-                    if act == ACT_EXIT:
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        return self._finish(RunStatus.DETECTED)
-                    if act <= -7:
-                        # Fuel stop inside an inline-called leaf: the
-                        # caller already pushed its frame and wrote its
-                        # state back; resume the callee (pending) at
-                        # block ``-7 - act``, where the fuel check
-                        # will hand the pause to the interpreter.
-                        func = self.pending_callee
-                        driver, resumes = jit.tables(func.name)
-                        block_idx = -7 - act
-                        i = 0
-                        continue
-                    raise SimulationError(f"bad jit action {act}")
-                # ------------------------------ interpreter side exit
-                block = func.blocks[block_idx]
-                steps = block.steps
-                n = len(steps)
-                advanced = False
-                while i < n:
-                    if icount >= stop_at:
-                        self.icount = icount
-                        self._position = (func, block_idx, i)
-                        if icount >= hard_limit:
-                            return self._finish(RunStatus.HANG)
-                        return RunResult(RunStatus.PAUSED,
-                                         instructions=icount)
-                    icount += 1
-                    act = steps[i](self)
-                    if act is None:
-                        i += 1
-                        continue
-                    if act >= 0:
-                        block_idx = act
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_CALL:
-                        self.call_stack.append(
-                            (func, block_idx, i + 1,
-                             self.pending_dest, self.pending_dest_float)
-                        )
-                        func = self.pending_callee
-                        driver, resumes = jit.tables(func.name)
-                        block_idx = 0
-                        i = 0
-                        advanced = True
-                        break
-                    if act == ACT_RET:
-                        if not self.call_stack:
-                            self.icount = icount
-                            return self._finish(RunStatus.EXITED)
-                        func, block_idx, i, dest, dest_float = (
-                            self.call_stack.pop()
-                        )
-                        self.arg_stack.pop()
-                        if dest >= 0:
-                            value = self.ret_value
-                            if dest_float:
-                                self.fregs[dest] = (
-                                    float(value) if value is not None
-                                    else 0.0
-                                )
-                            else:
-                                self.regs[dest] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                        driver, resumes = jit.tables(func.name)
-                        advanced = True
-                        break
-                    if act == ACT_EXIT:
-                        self.icount = icount
-                        return self._finish(RunStatus.EXITED)
-                    if act == ACT_DETECT:
-                        self.icount = icount
-                        return self._finish(RunStatus.DETECTED)
-                    if act == ACT_RECOVER:
-                        self.recoveries += 1
-                        if self.first_recovery_icount is None:
-                            self.first_recovery_icount = icount
-                        i += 1
-                        continue
-                    raise SimulationError(f"bad step action {act}")
-                if not advanced:
-                    block_idx += 1
+                    if entry is not None and self.icount + entry[1] <= stop_at:
+                        act = entry[0](self, self.icount)
+                if act is None:
+                    # Interpreter side exit.
+                    self._position = (func, block_idx, i)
+                    cap = self.icount + len(func.blocks[block_idx].steps) - i
+                    result = self._interpret(min(stop_at, cap))
+                    if result.status is not RunStatus.PAUSED or cap >= stop_at:
+                        return result
+                    func, block_idx, i = self._position
+                    driver, resumes = jit.tables(func.name)
+                    continue
+                if act >= 0:
+                    block_idx = act
                     i = 0
-                    if block_idx >= len(func.blocks):
-                        raise GuestTrap(
-                            TrapKind.SEGFAULT,
-                            f"control fell off the end of {func.name}",
-                        )
+                    continue
+                if act == ACT_CALL:
+                    # The compiled CALL already pushed its frame.
+                    func = self.pending_callee
+                    driver, resumes = jit.tables(func.name)
+                    block_idx = 0
+                    i = 0
+                    continue
+                if act == ACT_RET:
+                    frame = self._return_to_caller()
+                    if frame is None:
+                        return self._finish(RunStatus.EXITED)
+                    func, block_idx, i = frame[:3]
+                    driver, resumes = jit.tables(func.name)
+                    continue
+                if act == ACT_EXIT:
+                    return self._finish(RunStatus.EXITED)
+                if act == ACT_DETECT:
+                    return self._finish(RunStatus.DETECTED)
+                if act <= -7:
+                    # Fuel stop inside an inline-called leaf: the
+                    # caller already pushed its frame and wrote its
+                    # state back; resume the callee (pending) at
+                    # block ``-7 - act``, where the fuel check will
+                    # hand the pause to the interpreter.
+                    func = self.pending_callee
+                    driver, resumes = jit.tables(func.name)
+                    block_idx = -7 - act
+                    i = 0
+                    continue
+                raise SimulationError(f"bad jit action {act}")
         except GuestTrap as trap:
-            # Compiled segments report their exact retired count into
-            # self.icount before re-raising; the interpreter path's
-            # count lives in the local.  Whichever ran last is larger.
-            if icount > self.icount:
-                self.icount = icount
+            # Compiled code reports its exact retired count into
+            # self.icount before raising; the interpreter converts its
+            # own traps.
             return self._finish(RunStatus.TRAPPED, trap)
 
     # ----------------------------------------------------- checkpoint/restore
@@ -909,19 +716,10 @@ class Machine:
             )
             self._position = (self.pending_callee, 0, 0)
         elif act == ACT_RET:
-            if not self.call_stack:
+            frame = self._return_to_caller()
+            if frame is None:
                 return self._finish(RunStatus.EXITED)
-            func, block_idx, i, dest, dest_float = self.call_stack.pop()
-            self.arg_stack.pop()
-            if dest >= 0:
-                value = self.ret_value
-                if dest_float:
-                    self.fregs[dest] = (float(value) if value is not None
-                                        else 0.0)
-                else:
-                    self.regs[dest] = (int(value) & MASK64
-                                       if value is not None else 0)
-            self._position = (func, block_idx, i)
+            self._position = frame[:3]
         elif act == ACT_EXIT:
             return self._finish(RunStatus.EXITED)
         elif act == ACT_DETECT:
@@ -934,15 +732,6 @@ class Machine:
         else:
             raise SimulationError(f"bad step action {act}")
         return None
-
-    def skip_next_instruction(self) -> None:
-        """Advance past the pending instruction without executing it
-        (models a fetch dropped by a corrupted-to-NOP encoding)."""
-        if self._position is None:
-            raise SimulationError("machine not paused")
-        func, block_idx, i = self._position
-        self.icount += 1
-        self._position = (func, block_idx, i + 1)
 
     # -------------------------------------------------------------- compilation
     def _compile_function(self, fn) -> CompiledFunction:

@@ -45,6 +45,7 @@ from ..isa.instruction import Instruction, Role
 from ..isa.opcodes import Opcode, OpKind
 from ..isa.operands import MASK64
 from ..isa.registers import Register
+from .events import RunHook
 
 #: Default per-trial cap on *stored* event records.
 DEFAULT_MAX_EVENTS = 256
@@ -70,7 +71,7 @@ def _loc_str(loc: tuple[str, str, int]) -> str:
     return f"{loc[0]}/{loc[1]}/{loc[2]}"
 
 
-class TaintTracker:
+class TaintTracker(RunHook):
     """Per-trial taint state plus its bounded event stream.
 
     Create one tracker per trial and hand it to the injector
@@ -225,7 +226,7 @@ class TaintTracker:
     def before_step(self, machine, instr: Instruction, icount: int,
                     loc: tuple[str, str, int]) -> None:
         """Propagate taint for ``instr`` using the machine's pre-execution
-        state; called by the traced run loop immediately before the
+        state; called by the hooked run loop immediately before the
         compiled step executes."""
         self.steps += 1
         if self.steps >= self.max_steps:

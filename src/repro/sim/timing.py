@@ -194,25 +194,14 @@ class TimingSimulator:
                         used = 0
                         break
                     if act == ACT_RET:
-                        if not machine.call_stack:
+                        frame = machine._return_to_caller()
+                        if frame is None:
                             raise _Done()
-                        func, block_idx, i, dest_slot, dest_float = (
-                            machine.call_stack.pop()
-                        )
-                        machine.arg_stack.pop()
+                        func, block_idx, i, dest_slot, dest_float = frame
                         if dest_slot >= 0:
-                            value = machine.ret_value
                             if dest_float:
-                                machine.fregs[dest_slot] = (
-                                    float(value) if value is not None else 0.0
-                                )
-                                ready[dest_slot + _FLOAT_SLOT_BASE] = cycle + 1
-                            else:
-                                machine.regs[dest_slot] = (
-                                    int(value) & MASK64
-                                    if value is not None else 0
-                                )
-                                ready[dest_slot] = cycle + 1
+                                dest_slot += _FLOAT_SLOT_BASE
+                            ready[dest_slot] = cycle + 1
                         advanced = True
                         cycle += config.call_penalty
                         used = 0

@@ -21,7 +21,8 @@ from repro.faults.injector import golden_run, run_with_fault
 from repro.faults.model import FaultSite, sample_sites
 from repro.faults.parallel import run_parallel_campaign
 from repro.obs.campaign_log import CampaignLog
-from repro.sim import Machine
+from repro.obs.profile import SimProfiler
+from repro.sim import Machine, TaintTracker
 from repro.eval import prepare_machine
 from repro.sim.jit import (
     JitProgram,
@@ -73,27 +74,62 @@ def _binaries(seed, leaf=False):
 
 
 # --------------------------------------------------------------- fuzz
+#: Engines checked against the plain interpreter.  "taint" traces the
+#: whole faulty suffix; "taint-handoff" runs out of its step budget
+#: mid-run and hands the rest back to the untraced loop.
+_ENGINES = ("jit", "taint", "taint-handoff", "profile")
+
+
+def _engine_run(engine, machine, site=None):
+    """A golden run (``site`` None) or one faulty run on ``engine``."""
+    profiler = None
+    if engine == "profile":
+        profiler = machine.profile = SimProfiler()
+    tracker = None
+    if engine == "taint":
+        tracker = TaintTracker()
+    elif engine == "taint-handoff":
+        tracker = TaintTracker(max_steps=5)
+    if site is None:
+        result = golden_run(machine)
+    else:
+        result = run_with_fault(machine, site, taint=tracker)
+    if profiler is not None:
+        # Both runs start from reset, so the profile saw every
+        # instruction.
+        assert profiler.total_instructions == result.instructions
+    return result
+
+
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_differential_fuzz_golden_and_faulty(seed):
-    """Random programs + random fault plans: the JIT agrees with the
-    interpreter on every RunResult field and every byte of final
-    architectural state.  The second pair of binaries has loops that
-    call a leaf function, which the JIT expands inline."""
+    """Random programs + random fault plans: every engine (JIT, taint
+    tracing with and without a mid-run budget handoff, profiling)
+    agrees with the interpreter on every RunResult field and every
+    byte of final architectural state.  The second pair of binaries
+    has loops that call a leaf function, which the JIT expands
+    inline."""
     for binary in _binaries(seed) + _binaries(seed, leaf=True):
-        jit_machine, ref_machine = _machine_pair(binary)
-        jit_golden = golden_run(jit_machine)
+        ref_machine = Machine(binary, max_instructions=2_000_000)
+        machines = {engine: Machine(binary, max_instructions=2_000_000)
+                    for engine in _ENGINES}
+        attach_jit(machines["jit"])
         ref_golden = golden_run(ref_machine)
-        assert jit_golden == ref_golden, (seed, "golden")
-        assert _final_state(jit_machine) == _final_state(ref_machine)
+        for engine, machine in machines.items():
+            assert _engine_run(engine, machine) == ref_golden, (
+                seed, engine, "golden")
+            assert _final_state(machine) == _final_state(ref_machine), (
+                seed, engine, "golden")
 
         sites = sample_sites(seed ^ 0xBEEF, ref_golden.instructions, 12)
         for site in sites:
-            jit_faulty = run_with_fault(jit_machine, site)
             ref_faulty = run_with_fault(ref_machine, site)
-            assert jit_faulty == ref_faulty, (seed, site)
-            assert _final_state(jit_machine) == _final_state(ref_machine), (
-                seed, site)
+            for engine, machine in machines.items():
+                assert _engine_run(engine, machine, site) == ref_faulty, (
+                    seed, engine, site)
+                assert _final_state(machine) == _final_state(ref_machine), (
+                    seed, engine, site)
 
 
 @settings(max_examples=3, deadline=None)

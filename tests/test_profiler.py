@@ -1,5 +1,7 @@
 """Simulator profiler: determinism, shard parity, zero-cost-off gating."""
 
+import hashlib
+
 import pytest
 
 from repro.faults import run_campaign, run_parallel_campaign
@@ -20,6 +22,16 @@ def _snapshot(profiler):
     )
 
 
+def _canonical(value):
+    """``value`` with every dict replaced by its sorted items, so a digest
+    depends on the counts and not on first-sighting order."""
+    if isinstance(value, dict):
+        return sorted((key, _canonical(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
 def test_profiled_campaign_matches_unprofiled(simple_program):
     baseline = run_campaign(simple_program, trials=24, seed=13)
     profiler = SimProfiler()
@@ -36,6 +48,18 @@ def test_same_seed_same_counts(simple_program):
         run_campaign(simple_program, trials=24, seed=13, profile=profiler)
         profilers.append(profiler)
     assert _snapshot(profilers[0]) == _snapshot(profilers[1])
+
+
+def test_profile_output_pinned(simple_program):
+    # The determinism tests above compare two runs of the same code; this
+    # pins the deterministic profile of one fixed campaign across
+    # revisions of the run loops.
+    profiler = SimProfiler()
+    run_campaign(simple_program, trials=24, seed=13, profile=profiler)
+    digest = hashlib.sha256(
+        repr(_canonical(_snapshot(profiler))).encode()).hexdigest()
+    assert digest == (
+        "467dd797b54312417f0d8491e4e01791527d5638d94999e77af89a6b6aa5beaf")
 
 
 def test_jobs2_merge_matches_serial_profile(simple_program):

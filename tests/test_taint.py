@@ -1,5 +1,8 @@
 """Fault-provenance taint tracing: soundness, zero-cost gating, export."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.faults import FaultSite, run_campaign, run_with_fault
@@ -265,3 +268,15 @@ def test_parallel_taint_matches_serial(swiftr_binary):
     assert serial.counts == parallel.counts
     assert serial_log.to_dicts() == parallel_log.to_dicts()
     assert serial_log.taint_dicts() == parallel_log.taint_dicts()
+
+
+def test_taint_output_pinned(simple_program):
+    # Pins the exported taint records of one fixed campaign across
+    # revisions of the run loops (the parity tests above compare runs
+    # of the same code).
+    log = CampaignLog()
+    run_campaign(simple_program, trials=24, seed=13, log=log, taint=True)
+    records = json.dumps(log.taint_dicts(), sort_keys=True)
+    digest = hashlib.sha256(records.encode()).hexdigest()
+    assert digest == (
+        "cddd520e7f789ecaddee45029906e19c257f20b6aac25d837d8700a2926509d9")
